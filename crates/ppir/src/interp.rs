@@ -7,16 +7,45 @@
 //! inserts N-buffering to preserve values), the interpreter's final memory
 //! state is the golden reference against which the cycle-accurate simulator
 //! is checked, element for element.
+//!
+//! # Lowered bodies
+//!
+//! A PCU runs a pattern body that was configured once into fixed pipeline
+//! stages (§3.1 of the paper); the interpreter does the same on the host.
+//! [`Machine::new`] lowers every [`Func`](crate::Func) once into a flat
+//! list of ops whose operands are slot numbers within the function.
+//! Scratchpad loads carry their dimensions, so an address flattens without
+//! building a coordinate list, and a load addressed only by loop indices
+//! reads the indices directly. Loop indices and constants that nothing
+//! reads any more are dropped; every node that can fail still runs, in
+//! order, so errors are the tree walk's.
+//!
+//! Every function owns a fixed region of one value arena per machine; a
+//! body call writes its nodes into that region by index and its consumers
+//! read the outputs in place. Write-address functions evaluate into a
+//! shared scratch region instead, so a pipe body keeps its outputs while
+//! its writes compute their addresses, and fold accumulators live in a
+//! third region. Controllers are borrowed from the program and counter
+//! chains resolve onto a reused stack, so neither a body call nor a
+//! controller call allocates.
+//!
+//! Lowering lives in the machine, not in [`Program`]: the program's
+//! [`stable_hash`](Program::stable_hash) is FNV over its `Debug` output and
+//! keys compile caches, artifacts and checkpoints, so the program's fields
+//! must not change.
 
 use crate::ctrl::{
     CBound, Counter, CtrlBody, CtrlId, FilterPipe, FoldInit, FoldPipe, GatherOp, InnerOp, MapPipe,
     PipeWrite, RegWrite, ScatterOp, TileTransfer, WriteMode,
 };
-use crate::expr::{eval_binop, eval_unop, DramId, Expr, Func, FuncId, RegId, SramId};
+use crate::expr::{
+    eval_binop, eval_unop, BinOp, DramId, Expr, ExprId, FuncId, RegId, SramId, UnaryOp,
+};
 use crate::program::Program;
 use crate::trace::{DramRange, LeafWork, NullSink, TraceSink};
 use crate::types::{Elem, TypeError};
 use std::fmt;
+use std::sync::Arc;
 
 /// Runtime error raised by the interpreter.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,23 +128,340 @@ pub struct InterpStats {
     pub sram_writes: u64,
 }
 
-/// Interpreter state: one program plus its memories.
+/// One lowered expression node. Operands are slots within the function's
+/// arena region; a node's own slot is its [`ExprId`](crate::ExprId).
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Const(Elem),
+    Index(u32),
+    Param(u32),
+    Reg(u32),
+    Arg(u8),
+    /// `mem[a]` on a one-dimensional scratchpad of `d0` words.
+    Load1 {
+        mem: u32,
+        a: u32,
+        d0: u32,
+    },
+    /// `mem[a][b]` on a `d0 × d1` scratchpad.
+    Load2 {
+        mem: u32,
+        a: u32,
+        b: u32,
+        d0: u32,
+        d1: u32,
+    },
+    /// [`Op::Load1`] addressed directly by loop index `i`.
+    Load1I {
+        mem: u32,
+        i: u32,
+        d0: u32,
+    },
+    /// [`Op::Load2`] addressed directly by loop indices `i` and `j`.
+    Load2I {
+        mem: u32,
+        i: u32,
+        j: u32,
+        d0: u32,
+        d1: u32,
+    },
+    /// Any other load: `n` coordinate slots starting at `addr` in
+    /// [`Code::coords`].
+    LoadN {
+        mem: u32,
+        addr: u32,
+        n: u32,
+    },
+    Unary(UnaryOp, u32),
+    Binary(BinOp, u32, u32),
+    Mux(u32, u32, u32),
+}
+
+impl Op {
+    /// Whether the op only reads machine state: it cannot fail, so it may
+    /// be dropped when nothing reads its slot.
+    fn is_source(&self) -> bool {
+        matches!(
+            self,
+            Op::Const(_) | Op::Index(_) | Op::Param(_) | Op::Reg(_)
+        )
+    }
+
+    /// Calls `f` on every slot the op reads.
+    fn operands(&self, coords: &[u32], mut f: impl FnMut(u32)) {
+        match *self {
+            Op::Load1 { a, .. } | Op::Unary(_, a) => f(a),
+            Op::Load2 { a, b, .. } | Op::Binary(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            Op::Mux(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Op::LoadN { addr, n, .. } => coords[addr as usize..][..n as usize]
+                .iter()
+                .for_each(|&s| f(s)),
+            _ => {}
+        }
+    }
+}
+
+/// A lowered op and the slot it writes.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    dst: u32,
+    op: Op,
+}
+
+/// A lowered [`Func`](crate::Func): where its steps and outputs sit in
+/// [`Code`], and the arena offset of its own value region.
+#[derive(Debug, Clone, Copy)]
+struct LFunc {
+    steps: u32,
+    len: u32,
+    outs: u32,
+    n_outs: u32,
+    base: u32,
+}
+
+/// Every function of a program, lowered once by [`Machine::new`].
+#[derive(Debug)]
+struct Code {
+    /// Indexed by [`FuncId`].
+    funcs: Vec<LFunc>,
+    steps: Vec<Step>,
+    /// Output slots of every function, relative to its region.
+    outs: Vec<u32>,
+    /// Coordinate slots of [`Op::LoadN`] loads.
+    coords: Vec<u32>,
+    /// Arena offset of the region write-address functions evaluate into.
+    scratch: usize,
+    /// Arena offset of the fold accumulators.
+    acc: usize,
+    /// Arena size.
+    arena: usize,
+}
+
+impl Code {
+    fn lower(prog: &Program) -> Code {
+        let mut code = Code {
+            funcs: Vec::with_capacity(prog.funcs().len()),
+            steps: Vec::new(),
+            outs: Vec::new(),
+            coords: Vec::new(),
+            scratch: 0,
+            acc: 0,
+            arena: 0,
+        };
+        let (mut base, mut widest) = (0, 0);
+        for f in prog.funcs() {
+            let nodes = f.nodes();
+            let ops: Vec<Op> = nodes
+                .iter()
+                .map(|e| lower_expr(prog, nodes, e, &mut code.coords))
+                .collect();
+            // Nodes run in order, so every node that can fail still fails
+            // first; only unread sources (loop indices folded into loads,
+            // unused constants) are dropped.
+            let mut read = vec![false; nodes.len()];
+            for o in f.outputs() {
+                read[o.0 as usize] = true;
+            }
+            for op in &ops {
+                op.operands(&code.coords, |s| read[s as usize] = true);
+            }
+            let start = code.steps.len();
+            code.steps.extend(
+                ops.into_iter()
+                    .enumerate()
+                    .filter(|(i, op)| read[*i] || !op.is_source())
+                    .map(|(i, op)| Step { dst: i as u32, op }),
+            );
+            code.funcs.push(LFunc {
+                steps: start as u32,
+                len: (code.steps.len() - start) as u32,
+                outs: code.outs.len() as u32,
+                n_outs: f.outputs().len() as u32,
+                base: base as u32,
+            });
+            code.outs.extend(f.outputs().iter().map(|o| o.0));
+            base += nodes.len();
+            widest = widest.max(nodes.len());
+        }
+        let slots = prog
+            .ctrls()
+            .iter()
+            .map(|c| match &c.body {
+                CtrlBody::Inner(InnerOp::Fold(f)) => f.init.len().max(f.combine.len()),
+                _ => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        code.scratch = base;
+        code.acc = base + widest;
+        code.arena = code.acc + slots;
+        code
+    }
+
+    /// Output `k` of `f`, as a slot relative to the region `f` ran in.
+    fn out(&self, f: &LFunc, k: usize) -> usize {
+        debug_assert!(k < f.n_outs as usize);
+        self.outs[f.outs as usize + k] as usize
+    }
+
+    /// All output slots of `f`, relative to its region.
+    fn outs(&self, f: &LFunc) -> &[u32] {
+        &self.outs[f.outs as usize..][..f.n_outs as usize]
+    }
+}
+
+fn lower_expr(prog: &Program, nodes: &[Expr], e: &Expr, coords: &mut Vec<u32>) -> Op {
+    match e {
+        Expr::Const(c) => Op::Const(*c),
+        Expr::Index(i) => Op::Index(i.0),
+        Expr::Param(p) => Op::Param(p.0),
+        Expr::ReadReg(r) => Op::Reg(r.0),
+        Expr::Arg(n) => Op::Arg(*n),
+        Expr::Load { mem, addr } => {
+            let dims: &[usize] = prog
+                .srams()
+                .get(mem.0 as usize)
+                .map_or(&[], |s| s.dims.as_slice());
+            let dims: Option<Vec<u32>> = dims.iter().map(|&d| u32::try_from(d).ok()).collect();
+            // A loop index is always an integer, so a load addressed only
+            // by indices reads them directly.
+            let index = |a: ExprId| match nodes[a.0 as usize] {
+                Expr::Index(i) => Some(i.0),
+                _ => None,
+            };
+            let mem = mem.0;
+            match (addr.as_slice(), dims.as_deref()) {
+                (&[a], Some(&[d0])) => match index(a) {
+                    Some(i) => Op::Load1I { mem, i, d0 },
+                    None => Op::Load1 { mem, a: a.0, d0 },
+                },
+                (&[a, b], Some(&[d0, d1])) => match (index(a), index(b)) {
+                    (Some(i), Some(j)) => Op::Load2I { mem, i, j, d0, d1 },
+                    _ => Op::Load2 {
+                        mem,
+                        a: a.0,
+                        b: b.0,
+                        d0,
+                        d1,
+                    },
+                },
+                _ => {
+                    let at = coords.len() as u32;
+                    coords.extend(addr.iter().map(|a| a.0));
+                    Op::LoadN {
+                        mem,
+                        addr: at,
+                        n: addr.len() as u32,
+                    }
+                }
+            }
+        }
+        Expr::Unary(op, a) => Op::Unary(*op, a.0),
+        Expr::Binary(op, a, b) => Op::Binary(*op, a.0, b.0),
+        Expr::Mux(c, t, f) => Op::Mux(c.0, t.0, f.0),
+    }
+}
+
+/// [`eval_binop`] with the arithmetic of the hot pattern bodies (the
+/// multiply-accumulate chains of GEMM, the dot products of the ML kernels)
+/// inlined; every other case, errors included, goes through `eval_binop`.
+#[inline(always)]
+fn binop(op: BinOp, a: Elem, b: Elem) -> Result<Elem, TypeError> {
+    Ok(match (op, a, b) {
+        (BinOp::Add, Elem::F32(x), Elem::F32(y)) => Elem::F32(x + y),
+        (BinOp::Sub, Elem::F32(x), Elem::F32(y)) => Elem::F32(x - y),
+        (BinOp::Mul, Elem::F32(x), Elem::F32(y)) => Elem::F32(x * y),
+        (BinOp::Add, Elem::I32(x), Elem::I32(y)) => Elem::I32(x.wrapping_add(y)),
+        (BinOp::Sub, Elem::I32(x), Elem::I32(y)) => Elem::I32(x.wrapping_sub(y)),
+        (BinOp::Mul, Elem::I32(x), Elem::I32(y)) => Elem::I32(x.wrapping_mul(y)),
+        _ => eval_binop(op, a, b)?,
+    })
+}
+
+fn sram_oob(prog: &Program, mem: SramId, addr: i64) -> RunError {
+    RunError::SramOob {
+        mem: prog.sram(mem).name.clone(),
+        addr,
+    }
+}
+
+/// Flattens the coordinates held in `slots` of `vals` to a linear offset
+/// into `mem`. Every coordinate is type-checked before any bound, and an
+/// out-of-bounds or wrong-arity address reports its first coordinate (-1
+/// when there is none), as the tree walk always has.
+fn flatten(
+    prog: &Program,
+    mem: SramId,
+    vals: &[Elem],
+    slots: impl ExactSizeIterator<Item = usize> + Clone,
+) -> Result<usize, RunError> {
+    let mut first = -1;
+    for (k, s) in slots.clone().enumerate() {
+        let c = vals[s].as_i32()? as i64;
+        if k == 0 {
+            first = c;
+        }
+    }
+    let coords = slots.map(|s| match vals[s] {
+        Elem::I32(c) => c as i64,
+        Elem::F32(_) => unreachable!("coordinates were type-checked above"),
+    });
+    prog.sram(mem)
+        .flatten_iter(coords)
+        .ok_or_else(|| sram_oob(prog, mem, first))
+}
+
+/// One resolved counter: `index` runs from `min` while below `max`.
+#[derive(Debug, Clone, Copy)]
+struct Dim {
+    index: usize,
+    min: i64,
+    max: i64,
+    stride: i64,
+}
+
+/// A controller's resolved counter chain: `dims[start..end]` of the
+/// machine's dim stack.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    start: usize,
+    end: usize,
+}
+
+/// Interpreter state: one program, its lowered functions, and its memories.
 #[derive(Debug, Clone)]
 pub struct Machine<'p> {
     prog: &'p Program,
+    /// Shared so a run can hold the code while it mutates the machine.
+    code: Arc<Code>,
     drams: Vec<Vec<Elem>>,
     srams: Vec<Vec<Elem>>,
     regs: Vec<Elem>,
     params: Vec<Elem>,
     indices: Vec<i64>,
+    /// The value arena: one region per function, then the write-address
+    /// scratch region, then the fold accumulators.
+    vals: Vec<Elem>,
+    /// Resolved counter chains of the controllers being executed,
+    /// innermost last.
+    dims: Vec<Dim>,
     cur_work: LeafWork,
     /// Accumulated statistics.
     pub stats: InterpStats,
 }
 
 impl<'p> Machine<'p> {
-    /// Creates a machine with zero-initialized memories for `prog`.
+    /// Creates a machine with zero-initialized memories for `prog`, and
+    /// lowers every function of `prog` once (see the module docs).
     pub fn new(prog: &'p Program) -> Machine<'p> {
+        let code = Code::lower(prog);
         Machine {
             prog,
             drams: prog
@@ -131,6 +477,9 @@ impl<'p> Machine<'p> {
             regs: prog.regs().iter().map(|r| Elem::zero(r.dtype)).collect(),
             params: prog.params().iter().map(|p| Elem::zero(p.dtype)).collect(),
             indices: vec![0; prog.num_indices() as usize],
+            vals: vec![Elem::I32(0); code.arena],
+            dims: Vec::new(),
+            code: Arc::new(code),
             cur_work: LeafWork::default(),
             stats: InterpStats::default(),
         }
@@ -190,57 +539,65 @@ impl<'p> Machine<'p> {
     ///
     /// Same as [`Machine::run`].
     pub fn run_traced(&mut self, sink: &mut dyn TraceSink) -> Result<(), RunError> {
-        self.exec_ctrl(self.prog.root(), sink)
+        let code = Arc::clone(&self.code);
+        self.dims.clear();
+        self.exec_ctrl(&code, self.prog.root(), sink)
     }
 
-    fn exec_ctrl(&mut self, id: CtrlId, sink: &mut dyn TraceSink) -> Result<(), RunError> {
-        let ctrl = self.prog.ctrl(id);
-        let dims = self.resolve_cchain(&ctrl.cchain, &ctrl.name)?;
+    fn exec_ctrl(
+        &mut self,
+        code: &Code,
+        id: CtrlId,
+        sink: &mut dyn TraceSink,
+    ) -> Result<(), RunError> {
+        let prog = self.prog;
+        let ctrl = prog.ctrl(id);
+        let chain = self.resolve_cchain(&ctrl.cchain, &ctrl.name)?;
         match &ctrl.body {
             CtrlBody::Outer { children, .. } => {
-                let children = children.clone();
                 sink.outer_enter(id);
-                self.iterate(&dims, 0, &mut |m| {
+                self.iterate(chain, &mut |m| {
                     sink.outer_iter(id);
-                    for &c in &children {
-                        m.exec_ctrl(c, sink)?;
+                    for &c in children {
+                        m.exec_ctrl(code, c, sink)?;
                     }
                     Ok(())
                 })?;
                 sink.outer_exit(id);
-                Ok(())
             }
             CtrlBody::Inner(op) => {
-                let op = op.clone();
-                let name = ctrl.name.clone();
                 self.cur_work = LeafWork::default();
-                self.exec_inner(&name, &dims, &op)?;
+                self.exec_inner(code, &ctrl.name, chain, op)?;
                 let work = std::mem::take(&mut self.cur_work);
                 sink.leaf(id, work);
-                Ok(())
             }
         }
+        self.dims.truncate(chain.start);
+        Ok(())
     }
 
-    /// Resolves counter bounds to concrete `(index, min, max, stride)` tuples.
-    fn resolve_cchain(
-        &self,
-        cchain: &[Counter],
-        ctrl_name: &str,
-    ) -> Result<Vec<(usize, i64, i64, i64)>, RunError> {
-        cchain
-            .iter()
-            .map(|c| {
-                let min = self.resolve_bound(c.min)?;
-                let max = self.resolve_bound(c.max)?;
-                if c.stride < 1 {
-                    return Err(RunError::BadBound {
-                        ctrl: ctrl_name.to_string(),
-                    });
-                }
-                Ok((c.index.0 as usize, min, max, c.stride))
-            })
-            .collect()
+    /// Resolves counter bounds onto the dim stack.
+    fn resolve_cchain(&mut self, cchain: &[Counter], ctrl_name: &str) -> Result<Chain, RunError> {
+        let start = self.dims.len();
+        for c in cchain {
+            let min = self.resolve_bound(c.min)?;
+            let max = self.resolve_bound(c.max)?;
+            if c.stride < 1 {
+                return Err(RunError::BadBound {
+                    ctrl: ctrl_name.to_string(),
+                });
+            }
+            self.dims.push(Dim {
+                index: c.index.0 as usize,
+                min,
+                max,
+                stride: c.stride,
+            });
+        }
+        Ok(Chain {
+            start,
+            end: self.dims.len(),
+        })
     }
 
     fn resolve_bound(&self, b: CBound) -> Result<i64, RunError> {
@@ -251,66 +608,123 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Nested iteration over resolved counter dims, invoking `act` per tuple.
-    fn iterate(
-        &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        d: usize,
-        act: &mut dyn FnMut(&mut Self) -> Result<(), RunError>,
-    ) -> Result<(), RunError> {
-        if d == dims.len() {
+    /// Nested iteration over a resolved counter chain, invoking `act` per
+    /// index tuple.
+    fn iterate<F>(&mut self, chain: Chain, act: &mut F) -> Result<(), RunError>
+    where
+        F: FnMut(&mut Self) -> Result<(), RunError>,
+    {
+        match chain.end - chain.start {
+            0 => act(self),
+            1 => {
+                let Dim {
+                    index,
+                    min,
+                    max,
+                    stride,
+                } = self.dims[chain.start];
+                let mut v = min;
+                while v < max {
+                    self.indices[index] = v;
+                    act(self)?;
+                    v += stride;
+                }
+                Ok(())
+            }
+            _ => self.iterate_from(chain.start, chain.end, act),
+        }
+    }
+
+    fn iterate_from<F>(&mut self, d: usize, end: usize, act: &mut F) -> Result<(), RunError>
+    where
+        F: FnMut(&mut Self) -> Result<(), RunError>,
+    {
+        if d == end {
             return act(self);
         }
-        let (idx, min, max, stride) = dims[d];
+        let Dim {
+            index,
+            min,
+            max,
+            stride,
+        } = self.dims[d];
         let mut v = min;
         while v < max {
-            self.indices[idx] = v;
-            self.iterate(dims, d + 1, act)?;
+            self.indices[index] = v;
+            self.iterate_from(d + 1, end, act)?;
             v += stride;
         }
         Ok(())
     }
 
-    /// Evaluates a function in the current index environment.
-    fn eval(&mut self, fid: FuncId, args: &[Elem]) -> Result<Vec<Elem>, RunError> {
-        let f: &Func = self.prog.func(fid);
-        let mut vals: Vec<Elem> = Vec::with_capacity(f.nodes().len());
-        for node in f.nodes() {
-            let v = match node {
-                Expr::Const(c) => *c,
-                Expr::Index(i) => Elem::I32(self.indices[i.0 as usize] as i32),
-                Expr::Param(p) => self.params[p.0 as usize],
-                Expr::ReadReg(r) => self.regs[r.0 as usize],
-                Expr::Arg(n) => args[*n as usize],
-                Expr::Load { mem, addr } => {
-                    let coords: Vec<i64> = addr
-                        .iter()
-                        .map(|&a| vals[a.0 as usize].as_i32().map(|v| v as i64))
-                        .collect::<Result<_, _>>()?;
-                    let sram = self.prog.sram(*mem);
-                    let off = sram.flatten(&coords).ok_or_else(|| RunError::SramOob {
-                        mem: sram.name.clone(),
-                        addr: *coords.first().unwrap_or(&-1),
-                    })?;
-                    self.srams[mem.0 as usize][off]
+    /// Evaluates `f` in the current index environment into the arena
+    /// region at `base`.
+    fn eval(&mut self, code: &Code, f: &LFunc, base: usize) -> Result<(), RunError> {
+        let steps = &code.steps[f.steps as usize..][..f.len as usize];
+        let vals = &mut self.vals[base..];
+        for &Step { dst, op } in steps {
+            vals[dst as usize] = match op {
+                Op::Const(c) => c,
+                Op::Index(x) => Elem::I32(self.indices[x as usize] as i32),
+                Op::Param(p) => self.params[p as usize],
+                Op::Reg(r) => self.regs[r as usize],
+                Op::Arg(n) => panic!("argument {n} read by a body evaluated without arguments"),
+                Op::Load1 { mem, a, d0 } => {
+                    let c0 = vals[a as usize].as_i32()? as i64;
+                    if c0 < 0 || c0 >= d0 as i64 {
+                        return Err(sram_oob(self.prog, SramId(mem), c0));
+                    }
+                    self.srams[mem as usize][c0 as usize]
                 }
-                Expr::Unary(op, a) => eval_unop(*op, vals[a.0 as usize])?,
-                Expr::Binary(op, a, b) => eval_binop(*op, vals[a.0 as usize], vals[b.0 as usize])?,
-                Expr::Mux(c, t, e) => {
-                    if vals[c.0 as usize].is_truthy() {
-                        vals[t.0 as usize]
+                Op::Load2 { mem, a, b, d0, d1 } => {
+                    let c0 = vals[a as usize].as_i32()? as i64;
+                    let c1 = vals[b as usize].as_i32()? as i64;
+                    if c0 < 0 || c0 >= d0 as i64 || c1 < 0 || c1 >= d1 as i64 {
+                        return Err(sram_oob(self.prog, SramId(mem), c0));
+                    }
+                    self.srams[mem as usize][c0 as usize * d1 as usize + c1 as usize]
+                }
+                Op::Load1I { mem, i, d0 } => {
+                    let c0 = self.indices[i as usize] as i32 as i64;
+                    if c0 < 0 || c0 >= d0 as i64 {
+                        return Err(sram_oob(self.prog, SramId(mem), c0));
+                    }
+                    self.srams[mem as usize][c0 as usize]
+                }
+                Op::Load2I { mem, i, j, d0, d1 } => {
+                    let c0 = self.indices[i as usize] as i32 as i64;
+                    let c1 = self.indices[j as usize] as i32 as i64;
+                    if c0 < 0 || c0 >= d0 as i64 || c1 < 0 || c1 >= d1 as i64 {
+                        return Err(sram_oob(self.prog, SramId(mem), c0));
+                    }
+                    self.srams[mem as usize][c0 as usize * d1 as usize + c1 as usize]
+                }
+                Op::LoadN { mem, addr, n } => {
+                    let slots = &code.coords[addr as usize..][..n as usize];
+                    let slots = slots.iter().map(|&s| s as usize);
+                    let off = flatten(self.prog, SramId(mem), vals, slots)?;
+                    self.srams[mem as usize][off]
+                }
+                Op::Unary(op, a) => eval_unop(op, vals[a as usize])?,
+                Op::Binary(op, a, b) => binop(op, vals[a as usize], vals[b as usize])?,
+                Op::Mux(c, t, e) => {
+                    if vals[c as usize].is_truthy() {
+                        vals[t as usize]
                     } else {
-                        vals[e.0 as usize]
+                        vals[e as usize]
                     }
                 }
             };
-            vals.push(v);
         }
-        Ok(f.outputs().iter().map(|&o| vals[o.0 as usize]).collect())
+        Ok(())
     }
 
-    fn eval_scalar(&mut self, fid: FuncId) -> Result<Elem, RunError> {
-        Ok(self.eval(fid, &[])?[0])
+    /// Evaluates `fid` in its own region and returns its first output.
+    fn eval_scalar(&mut self, code: &Code, fid: FuncId) -> Result<Elem, RunError> {
+        let f = &code.funcs[fid.0 as usize];
+        let base = f.base as usize;
+        self.eval(code, f, base)?;
+        Ok(self.vals[base + code.out(f, 0)])
     }
 
     fn sram_write_linear(&mut self, id: SramId, off: i64, v: Elem) -> Result<(), RunError> {
@@ -359,63 +773,54 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Applies one pipe write given already-evaluated body outputs.
-    fn apply_write(&mut self, w: &PipeWrite, outs: &[Elem]) -> Result<(), RunError> {
-        let coords: Vec<i64> = self
-            .eval(w.addr, &[])?
-            .iter()
-            .map(|e| e.as_i32().map(|v| v as i64))
-            .collect::<Result<_, _>>()?;
-        let sram = self.prog.sram(w.sram);
-        let off = sram.flatten(&coords).ok_or_else(|| RunError::SramOob {
-            mem: sram.name.clone(),
-            addr: *coords.first().unwrap_or(&-1),
-        })? as i64;
-        let v = outs[w.value_slot];
+    /// Applies one pipe write of the arena value at `src`. The address
+    /// function runs in the scratch region, so the pipe body's outputs stay
+    /// in place for the pipe's other writes.
+    fn apply_write(&mut self, code: &Code, w: &PipeWrite, src: usize) -> Result<(), RunError> {
+        let af = &code.funcs[w.addr.0 as usize];
+        let base = code.scratch;
+        self.eval(code, af, base)?;
+        let slots = code.outs(af).iter().map(|&o| base + o as usize);
+        let off = flatten(self.prog, w.sram, &self.vals, slots)?;
+        let v = self.vals[src];
+        let buf = &mut self.srams[w.sram.0 as usize];
         let stored = match w.mode {
             WriteMode::Overwrite => v,
-            WriteMode::Accumulate(op) => {
-                let old = self.sram_read_linear(w.sram, off)?;
-                eval_binop(op, old, v)?
-            }
+            WriteMode::Accumulate(op) => binop(op, buf[off], v)?,
         };
         self.stats.sram_writes += 1;
-        self.sram_write_linear(w.sram, off, stored)
+        buf[off] = stored;
+        Ok(())
     }
 
     fn exec_inner(
         &mut self,
+        code: &Code,
         name: &str,
-        dims: &[(usize, i64, i64, i64)],
+        chain: Chain,
         op: &InnerOp,
     ) -> Result<(), RunError> {
         match op {
-            InnerOp::Map(m) => self.exec_map(dims, m),
-            InnerOp::Fold(f) => self.exec_fold(name, dims, f),
-            InnerOp::Filter(f) => self.exec_filter(name, dims, f),
-            InnerOp::RegWrite(rw) => self.exec_regwrite(dims, rw),
-            InnerOp::LoadTile(t) => self.exec_tuplewise(dims, &mut |m| m.load_tile(t)),
-            InnerOp::StoreTile(t) => self.exec_tuplewise(dims, &mut |m| m.store_tile(t)),
-            InnerOp::Gather(g) => self.exec_tuplewise(dims, &mut |m| m.gather(g)),
-            InnerOp::Scatter(s) => self.exec_tuplewise(dims, &mut |m| m.scatter(s)),
+            InnerOp::Map(m) => self.exec_map(code, chain, m),
+            InnerOp::Fold(f) => self.exec_fold(code, name, chain, f),
+            InnerOp::Filter(f) => self.exec_filter(code, name, chain, f),
+            InnerOp::RegWrite(rw) => self.exec_regwrite(code, chain, rw),
+            InnerOp::LoadTile(t) => self.iterate(chain, &mut |m| m.load_tile(code, t)),
+            InnerOp::StoreTile(t) => self.iterate(chain, &mut |m| m.store_tile(code, t)),
+            InnerOp::Gather(g) => self.iterate(chain, &mut |m| m.gather(code, g)),
+            InnerOp::Scatter(s) => self.iterate(chain, &mut |m| m.scatter(code, s)),
         }
     }
 
-    fn exec_tuplewise(
-        &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        act: &mut dyn FnMut(&mut Self) -> Result<(), RunError>,
-    ) -> Result<(), RunError> {
-        self.iterate(dims, 0, act)
-    }
-
-    fn exec_map(&mut self, dims: &[(usize, i64, i64, i64)], m: &MapPipe) -> Result<(), RunError> {
-        self.iterate(dims, 0, &mut |s| {
+    fn exec_map(&mut self, code: &Code, chain: Chain, m: &MapPipe) -> Result<(), RunError> {
+        let body = code.funcs[m.body.0 as usize];
+        let base = body.base as usize;
+        self.iterate(chain, &mut |s| {
             s.stats.body_invocations += 1;
             s.cur_work.trips += 1;
-            let outs = s.eval(m.body, &[])?;
+            s.eval(code, &body, base)?;
             for w in &m.writes {
-                s.apply_write(w, &outs)?;
+                s.apply_write(code, w, base + code.out(&body, w.value_slot))?;
             }
             Ok(())
         })
@@ -423,64 +828,71 @@ impl<'p> Machine<'p> {
 
     fn exec_fold(
         &mut self,
+        code: &Code,
         name: &str,
-        dims: &[(usize, i64, i64, i64)],
+        chain: Chain,
         f: &FoldPipe,
     ) -> Result<(), RunError> {
-        let n = f.combine.len();
-        let mut acc: Vec<Elem> = Vec::with_capacity(n);
+        let acc = code.acc;
         for (slot, init) in f.init.iter().enumerate() {
-            match init {
-                FoldInit::Const(v) => acc.push(*v),
+            self.vals[acc + slot] = match init {
+                FoldInit::Const(v) => *v,
                 FoldInit::Resume => {
                     let reg = f.out_regs[slot].ok_or_else(|| RunError::ResumeWithoutReg {
                         ctrl: name.to_string(),
                     })?;
-                    acc.push(self.regs[reg.0 as usize]);
+                    self.regs[reg.0 as usize]
                 }
-            }
+            };
         }
-        self.iterate(dims, 0, &mut |s| {
+        let map = code.funcs[f.map.0 as usize];
+        let base = map.base as usize;
+        self.iterate(chain, &mut |s| {
             s.stats.body_invocations += 1;
             s.cur_work.trips += 1;
-            let outs = s.eval(f.map, &[])?;
-            for slot in 0..n {
-                acc[slot] = eval_binop(f.combine[slot], acc[slot], outs[slot])?;
+            s.eval(code, &map, base)?;
+            for (slot, (&op, &out)) in f.combine.iter().zip(code.outs(&map)).enumerate() {
+                let v = s.vals[base + out as usize];
+                s.vals[acc + slot] = binop(op, s.vals[acc + slot], v)?;
             }
             Ok(())
         })?;
         for (slot, reg) in f.out_regs.iter().enumerate() {
             if let Some(r) = reg {
-                self.regs[r.0 as usize] = acc[slot];
+                self.regs[r.0 as usize] = self.vals[acc + slot];
             }
         }
         for w in &f.writes {
-            self.apply_write(w, &acc)?;
+            self.apply_write(code, w, acc + w.value_slot)?;
         }
         Ok(())
     }
 
     fn exec_filter(
         &mut self,
+        code: &Code,
         name: &str,
-        dims: &[(usize, i64, i64, i64)],
+        chain: Chain,
         f: &FilterPipe,
     ) -> Result<(), RunError> {
-        let k = self.prog.func(f.body).outputs().len() - 1;
+        let body = code.funcs[f.body.0 as usize];
+        let base = body.base as usize;
+        let k = body.n_outs as usize - 1;
         let cap = self.prog.sram(f.out).capacity();
         let mut count: i64 = 0;
-        self.iterate(dims, 0, &mut |s| {
+        self.iterate(chain, &mut |s| {
             s.stats.body_invocations += 1;
             s.cur_work.trips += 1;
-            let outs = s.eval(f.body, &[])?;
-            if outs[k].is_truthy() {
+            s.eval(code, &body, base)?;
+            if s.vals[base + code.out(&body, k)].is_truthy() {
                 if (count as usize + 1) * k > cap {
                     return Err(RunError::FilterOverflow {
                         ctrl: name.to_string(),
                     });
                 }
-                for (j, &v) in outs[..k].iter().enumerate() {
+                for j in 0..k {
                     s.stats.sram_writes += 1;
+                    let v = s.vals[base + code.out(&body, j)];
                     s.sram_write_linear(f.out, count * k as i64 + j as i64, v)?;
                 }
                 count += 1;
@@ -492,21 +904,17 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn exec_regwrite(
-        &mut self,
-        dims: &[(usize, i64, i64, i64)],
-        rw: &RegWrite,
-    ) -> Result<(), RunError> {
-        self.iterate(dims, 0, &mut |s| {
+    fn exec_regwrite(&mut self, code: &Code, chain: Chain, rw: &RegWrite) -> Result<(), RunError> {
+        self.iterate(chain, &mut |s| {
             s.cur_work.trips += 1;
-            let v = s.eval_scalar(rw.func)?;
+            let v = s.eval_scalar(code, rw.func)?;
             s.regs[rw.reg.0 as usize] = v;
             Ok(())
         })
     }
 
-    fn load_tile(&mut self, t: &TileTransfer) -> Result<(), RunError> {
-        let base = self.eval_scalar(t.dram_base)?.as_i32()? as i64;
+    fn load_tile(&mut self, code: &Code, t: &TileTransfer) -> Result<(), RunError> {
+        let base = self.eval_scalar(code, t.dram_base)?.as_i32()? as i64;
         for r in 0..t.rows {
             self.cur_work.dram.push(DramRange {
                 dram: t.dram,
@@ -524,8 +932,8 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn store_tile(&mut self, t: &TileTransfer) -> Result<(), RunError> {
-        let base = self.eval_scalar(t.dram_base)?.as_i32()? as i64;
+    fn store_tile(&mut self, code: &Code, t: &TileTransfer) -> Result<(), RunError> {
+        let base = self.eval_scalar(code, t.dram_base)?.as_i32()? as i64;
         for r in 0..t.rows {
             self.cur_work.dram.push(DramRange {
                 dram: t.dram,
@@ -543,8 +951,8 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn gather(&mut self, g: &GatherOp) -> Result<(), RunError> {
-        let base = self.eval_scalar(g.base)?.as_i32()? as i64;
+    fn gather(&mut self, code: &Code, g: &GatherOp) -> Result<(), RunError> {
+        let base = self.eval_scalar(code, g.base)?.as_i32()? as i64;
         let len = self.resolve_bound(g.len)?;
         let ib = self.resolve_bound(g.idx_base)?;
         for i in 0..len {
@@ -563,8 +971,8 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    fn scatter(&mut self, s: &ScatterOp) -> Result<(), RunError> {
-        let base = self.eval_scalar(s.base)?.as_i32()? as i64;
+    fn scatter(&mut self, code: &Code, s: &ScatterOp) -> Result<(), RunError> {
+        let base = self.eval_scalar(code, s.base)?.as_i32()? as i64;
         let len = self.resolve_bound(s.len)?;
         let ib = self.resolve_bound(s.idx_base)?;
         for i in 0..len {
@@ -588,7 +996,7 @@ impl<'p> Machine<'p> {
 mod tests {
     use super::*;
     use crate::ctrl::Schedule;
-    use crate::expr::BinOp;
+    use crate::expr::Func;
     use crate::program::ProgramBuilder;
     use crate::types::DType;
 

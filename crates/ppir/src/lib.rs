@@ -51,6 +51,8 @@ mod ctrl;
 mod expr;
 mod interp;
 mod mem;
+#[cfg(test)]
+mod oracle;
 mod program;
 mod trace;
 mod types;

@@ -63,11 +63,16 @@ impl Sram {
     /// Returns `None` if the coordinate count mismatches or any coordinate
     /// is out of bounds.
     pub fn flatten(&self, coords: &[i64]) -> Option<usize> {
+        self.flatten_iter(coords.iter().copied())
+    }
+
+    /// [`Sram::flatten`] over coordinates produced one by one.
+    pub(crate) fn flatten_iter(&self, coords: impl ExactSizeIterator<Item = i64>) -> Option<usize> {
         if coords.len() != self.dims.len() {
             return None;
         }
         let mut off: usize = 0;
-        for (&c, &d) in coords.iter().zip(&self.dims) {
+        for (c, &d) in coords.zip(&self.dims) {
             if c < 0 || c as usize >= d {
                 return None;
             }

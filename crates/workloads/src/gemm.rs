@@ -118,16 +118,20 @@ pub fn gemm(scale: Scale) -> Bench {
     let bm: Vec<Elem> = (0..n * p)
         .map(|i| Elem::F32(hash_unit_f32(i as u64, 21) - 0.5))
         .collect();
-    let mut c = vec![Elem::F32(0.0); m * p];
-    for i in 0..m {
-        for j in 0..p {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k].as_f32().unwrap() * bm[k * p + j].as_f32().unwrap();
+    // i-k-j order over plain floats: each C[i][j] still starts at 0.0 and
+    // adds its products in ascending k, so the result is bit-identical to
+    // the i-j-k dot products (Rust does not contract `+ *` into FMAs).
+    let af: Vec<f32> = a.iter().map(|e| e.as_f32().unwrap()).collect();
+    let bf: Vec<f32> = bm.iter().map(|e| e.as_f32().unwrap()).collect();
+    let mut cf = vec![0.0f32; m * p];
+    for (c_row, a_row) in cf.chunks_exact_mut(p).zip(af.chunks_exact(n)) {
+        for (&a_ik, b_row) in a_row.iter().zip(bf.chunks_exact(p)) {
+            for (c, &b_kj) in c_row.iter_mut().zip(b_row) {
+                *c += a_ik * b_kj;
             }
-            c[i * p + j] = Elem::F32(acc);
         }
     }
+    let c: Vec<Elem> = cf.into_iter().map(Elem::F32).collect();
 
     Bench {
         name: "GEMM".into(),
@@ -162,6 +166,29 @@ mod tests {
     fn gemm_functional_against_golden() {
         let bench = gemm(Scale::tiny());
         bench.run_and_verify().expect("gemm verifies");
+    }
+
+    /// The golden equals the plain dot products `C[i][j] = sum_k A[i][k]
+    /// * B[k][j]` accumulated in ascending k, bit for bit.
+    #[test]
+    fn golden_is_bit_identical_to_ascending_k_dot_products() {
+        for scale in [Scale(1), Scale(2)] {
+            let bench = gemm(scale);
+            let f = |d: &[Elem]| -> Vec<f32> { d.iter().map(|e| e.as_f32().unwrap()).collect() };
+            let (a, b) = (f(&bench.inputs[0].1), f(&bench.inputs[1].1));
+            let c = &bench.expect_drams[0].1;
+            let (m, n) = (64 * scale.0, 64 * scale.0.max(2));
+            let p = c.len() / m;
+            for i in 0..m {
+                for j in 0..p {
+                    let mut acc = 0.0f32;
+                    for k in 0..n {
+                        acc += a[i * n + k] * b[k * p + j];
+                    }
+                    assert_eq!(c[i * p + j], Elem::F32(acc), "C[{i}][{j}] at {scale:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -152,37 +152,78 @@ impl Bench {
     }
 }
 
+/// Builds one benchmark (program, inputs and goldens) at a scale.
+pub type Constructor = fn(Scale) -> Bench;
+
+/// The thirteen benchmarks of Table 4 by name, in table order, each with
+/// its constructor. Naming a benchmark does not build it: the goldens are
+/// computed only when a constructor runs.
+pub const BENCHES: [(&str, Constructor); 13] = [
+    ("InnerProduct", dense::inner_product),
+    ("OuterProduct", dense::outer_product),
+    ("BlackScholes", dense::black_scholes),
+    ("TPCHQ6", dense::tpchq6),
+    ("GEMM", gemm::gemm),
+    ("GDA", ml::gda),
+    ("LogReg", ml::logreg),
+    ("SGD", ml::sgd),
+    ("Kmeans", ml::kmeans),
+    ("CNN", cnn::cnn),
+    ("SMDV", sparse::smdv),
+    ("PageRank", sparse::pagerank),
+    ("BFS", sparse::bfs),
+];
+
 /// All thirteen benchmarks of Table 4 at one scale.
 pub fn all(scale: Scale) -> Vec<Bench> {
-    vec![
-        dense::inner_product(scale),
-        dense::outer_product(scale),
-        dense::black_scholes(scale),
-        dense::tpchq6(scale),
-        gemm::gemm(scale),
-        ml::gda(scale),
-        ml::logreg(scale),
-        ml::sgd(scale),
-        ml::kmeans(scale),
-        cnn::cnn(scale),
-        sparse::smdv(scale),
-        sparse::pagerank(scale),
-        sparse::bfs(scale),
-    ]
+    BENCHES.iter().map(|(_, build)| build(scale)).collect()
 }
 
-/// The dense subset (used by experiments that exclude sparse apps).
+/// Builds the one benchmark whose name matches `name`, ignoring ASCII case.
+pub fn by_name(name: &str, scale: Scale) -> Option<Bench> {
+    BENCHES
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build(scale))
+}
+
+/// The dense subset (used by experiments that exclude sparse apps): every
+/// benchmark of [`BENCHES`] but the three sparse ones that end it.
 pub fn dense_suite(scale: Scale) -> Vec<Bench> {
-    vec![
-        dense::inner_product(scale),
-        dense::outer_product(scale),
-        dense::black_scholes(scale),
-        dense::tpchq6(scale),
-        gemm::gemm(scale),
-        ml::gda(scale),
-        ml::logreg(scale),
-        ml::sgd(scale),
-        ml::kmeans(scale),
-        cnn::cnn(scale),
-    ]
+    BENCHES[..BENCHES.len() - 3]
+        .iter()
+        .map(|(_, build)| build(scale))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_names_are_the_names_of_the_benches_they_build() {
+        for (name, build) in BENCHES {
+            assert_eq!(build(Scale::tiny()).name, name);
+        }
+    }
+
+    #[test]
+    fn by_name_ignores_case_and_rejects_unknown_names() {
+        assert_eq!(by_name("gemm", Scale::tiny()).unwrap().name, "GEMM");
+        assert_eq!(by_name("pAgErAnK", Scale::tiny()).unwrap().name, "PageRank");
+        assert!(by_name("GEMMM", Scale::tiny()).is_none());
+        assert!(by_name("", Scale::tiny()).is_none());
+    }
+
+    #[test]
+    fn dense_suite_drops_exactly_the_sparse_benches() {
+        let names: Vec<String> = dense_suite(Scale::tiny())
+            .into_iter()
+            .map(|b| b.name)
+            .collect();
+        assert_eq!(names.len(), 10);
+        assert!(!names
+            .iter()
+            .any(|n| ["SMDV", "PageRank", "BFS"].contains(&n.as_str())));
+    }
 }

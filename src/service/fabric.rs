@@ -41,7 +41,7 @@ use plasticine_ppir::Machine;
 use plasticine_sim::{
     Advance, Checkpoint, DegradedReport, SimError, SimKernel, SimOptions, StepMode,
 };
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{by_name, Bench, Scale};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -98,6 +98,8 @@ impl Phase {
 struct TenantEntry {
     spec: SubmitSpec,
     phase: Phase,
+    /// The band the tenant runs on, or finished on once done (its stats
+    /// are those of a solo run on this band).
     partition: Option<Partition>,
     /// The band the live checkpoint was taken on. A resumed tenant may
     /// only be placed on a [pattern-equivalent](Partition::pattern_equivalent)
@@ -297,9 +299,13 @@ impl FabricScheduler {
         }
         t.evict_requested = true;
         t.preempted = false;
+        let evictions = t.preemptions;
         self.cv.notify_all();
         let deadline = Instant::now() + wait;
-        while g.tenants[id].phase == Phase::Running {
+        // Watch the eviction count, not just the phase: an evicted tenant
+        // whose band is still free is readmitted (Running again) at once,
+        // possibly before this thread wakes to see it queued.
+        while g.tenants[id].phase == Phase::Running && g.tenants[id].preemptions == evictions {
             let now = Instant::now();
             if now >= deadline {
                 return Err(format!(
@@ -311,12 +317,15 @@ impl FabricScheduler {
             g = guard;
         }
         let t = &g.tenants[id];
+        // A landed eviction always left a checkpoint, even if the
+        // readmitted tenant has already taken it back.
+        let resumable = t.preemptions > evictions || t.checkpoint.is_some();
         Ok(vec![
             ("tenant".to_string(), Json::from(id)),
             ("bench".to_string(), Json::from(t.spec.bench.clone())),
             ("state".to_string(), Json::from(t.phase.name())),
             ("cycle".to_string(), Json::from(t.cycles)),
-            ("resumable".to_string(), Json::from(t.checkpoint.is_some())),
+            ("resumable".to_string(), Json::from(resumable)),
         ])
     }
 
@@ -507,7 +516,7 @@ pub fn scheduler_loop(
                     t.checkpoint = None;
                     t.anchor = None;
                     t.evict_requested = false;
-                    if let Some(band) = t.partition.take() {
+                    if let Some(band) = t.partition {
                         g.table.release(&band);
                     }
                     f.cv.notify_all();
@@ -732,9 +741,7 @@ fn build_resident(
     faults: &FaultMap,
     resume: Option<&Checkpoint>,
 ) -> Result<Resident, String> {
-    let bench = all(Scale(spec.scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(&spec.bench))
+    let bench = by_name(&spec.bench, Scale(spec.scale))
         .ok_or_else(|| format!("unknown benchmark `{}`", spec.bench))?;
     let copts = CompileOptions {
         partition: Some(band),

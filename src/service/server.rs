@@ -54,7 +54,7 @@ use plasticine_sim::{
     simulate, simulate_checkpointed, Checkpoint, CheckpointPolicy, ExitStatus, SimError,
     SimOptions, SimResult, StepMode,
 };
-use plasticine_workloads::{all, Bench, Scale};
+use plasticine_workloads::{by_name, Bench, Scale, BENCHES};
 use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -609,15 +609,12 @@ fn submit_tenant(shared: &Shared, req: &Request) -> Result<Vec<(String, Json)>, 
     let scale = req.scale.unwrap_or(d.scale);
     // Resolve to the canonical name now so a typo fails the submission,
     // not the scheduler thread later.
-    let bench = all(Scale(scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            Failure::new(
-                ExitStatus::Runtime,
-                format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
-            )
-        })?;
+    let bench = by_name(name, Scale(scale)).ok_or_else(|| {
+        Failure::new(
+            ExitStatus::Runtime,
+            format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
+        )
+    })?;
     let channels = req.channels.unwrap_or(1);
     // Sample the tenant's fault-arrival schedule now so a malformed spec
     // fails the submission, not the scheduler thread later. Channel
@@ -682,17 +679,14 @@ fn resolve_faults(shared: &Shared, req: &Request) -> Result<(FaultMap, u64), Fai
 fn resolve_bench(shared: &Shared, req: &Request, name: &str) -> Result<Eff, Failure> {
     let d = &shared.opts.defaults;
     let scale = req.scale.unwrap_or(d.scale);
-    let bench = all(Scale(scale))
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(name))
-        .ok_or_else(|| {
-            // Mirrors the one-shot CLI, where an unknown benchmark is
-            // exit 1, not a usage error.
-            Failure::new(
-                ExitStatus::Runtime,
-                format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
-            )
-        })?;
+    let bench = by_name(name, Scale(scale)).ok_or_else(|| {
+        // Mirrors the one-shot CLI, where an unknown benchmark is
+        // exit 1, not a usage error.
+        Failure::new(
+            ExitStatus::Runtime,
+            format!("unknown benchmark `{name}` (try `plasticine-run list`)"),
+        )
+    })?;
     let (faults, seed) = resolve_faults(shared, req)?;
     Ok(Eff {
         bench,
@@ -1056,10 +1050,8 @@ fn execute_batch(shared: &Arc<Shared>, req: &Request) -> Result<Vec<(String, Jso
     let mut effs: Vec<Eff> = Vec::new();
     for name in &req.benches {
         if name == "all" {
-            let scale = req.scale.unwrap_or(shared.opts.defaults.scale);
-            for b in all(Scale(scale)) {
-                let name = b.name.clone();
-                effs.push(resolve_bench(shared, req, &name)?);
+            for (name, _) in BENCHES {
+                effs.push(resolve_bench(shared, req, name)?);
             }
         } else {
             effs.push(resolve_bench(shared, req, name)?);
